@@ -586,6 +586,10 @@ func (g *Graph) NumVariables() int { return g.numVars }
 // NumConstraints returns the LP constraint count.
 func (g *Graph) NumConstraints() int { return g.lp.NumConstraints() }
 
+// LP returns the difference LP the graph solves, for callers that want
+// to inspect or solve the program themselves. It must not be modified.
+func (g *Graph) LP() *flow.DiffLP { return g.lp }
+
 // PreflightLP runs the flow-solver admission checks on the assembled LP
 // without solving it: the dual transshipment network must conserve flow
 // (flow.ErrUnbalanced otherwise) and stay inside the solver's magnitude
