@@ -18,11 +18,28 @@ const (
 )
 
 // SolveSimplex computes a min-cost flow with the primal network simplex
-// method (the solver the paper uses, Section IV-D): a big-M artificial
-// star forms the initial spanning-tree basis, entering arcs are chosen by
-// block search over reduced costs (falling back to Bland's rule under
-// long degenerate runs, which guarantees termination), and tree updates
-// re-hang only the detached subtree.
+// method (the paper's solver, Section IV-D). A big-M artificial star
+// forms the initial spanning-tree basis. Entering arcs are chosen by
+// block search over reduced costs, falling back to Bland's rule under
+// long degenerate runs, which guarantees termination.
+//
+// The basis is stored as a preorder thread (Király & Kovács, "Efficient
+// implementations of minimum-cost flow algorithms", 2012): thread and
+// revThread link the nodes in depth-first preorder, succNum holds
+// subtree sizes and lastSucc the last node of each subtree, so every
+// subtree is one contiguous thread segment. The join of a pivot cycle is
+// found by subtree sizes. A tree update cuts the leaving subtree out of
+// the thread, re-roots it along the stem from the entering endpoint,
+// splices it in below the other endpoint and shifts its potentials by
+// one constant σ; nothing outside the moved subtree and the two paths to
+// the join is touched.
+//
+// The leaving arc is the first arc of strictly smaller residual in a
+// walk that merges the two sides of the cycle deepest first, depth being
+// the distance to the join. On equal depth the side that starts at the
+// head of the push (v below) goes first, and the entering arc wins ties
+// against tree arcs. This rule fixes the pivot path, and with it which
+// optimum is returned among ties.
 func (nw *Network) SolveSimplex() (*Solution, error) {
 	return nw.SolveSimplexCtx(context.Background())
 }
@@ -34,10 +51,12 @@ func (nw *Network) SolveSimplexCtx(ctx context.Context) (sol *Solution, err erro
 	// Counters accumulate in locals and land on the span once, in the
 	// deferred close: the pivot loop itself stays instrumentation-free.
 	sp, ctx := obs.StartSpan(ctx, "flow.simplex")
-	var pivotCount, degenerateCount int
+	var pivotCount, degenerateCount, treeUpdateNodes, pricingScans int
 	defer func() {
 		sp.Add("pivots", int64(pivotCount))
 		sp.Add("degenerate_pivots", int64(degenerateCount))
+		sp.Add("tree_update_nodes", int64(treeUpdateNodes))
+		sp.Add("pricing_scans", int64(pricingScans))
 		sp.Fail(err)
 		sp.End()
 	}()
@@ -70,12 +89,16 @@ func (nw *Network) SolveSimplexCtx(ctx context.Context) (sol *Solution, err erro
 
 	parent := make([]int, n+1)
 	parentArc := make([]int, n+1)
-	depth := make([]int, n+1)
 	pot := make([]int64, n+1)
-	children := make([][]int, n+1)
+	// The thread is cyclic through root; root stays the tree root.
+	thread := make([]int, n+1)
+	revThread := make([]int, n+1)
+	succNum := make([]int, n+1)
+	lastSucc := make([]int, n+1)
 
 	parent[root] = -1
 	parentArc[root] = -1
+	last := root
 	for v := 0; v < n; v++ {
 		b := -nw.demand[v] // supply convention: outflow − inflow = b
 		ai := len(arcs)
@@ -91,32 +114,20 @@ func (nw *Network) SolveSimplexCtx(ctx context.Context) (sol *Solution, err erro
 		state = append(state, inTree)
 		parent[v] = root
 		parentArc[v] = ai
-		depth[v] = 1
-		children[root] = append(children[root], v)
+		thread[last] = v
+		revThread[v] = last
+		succNum[v] = 1
+		lastSucc[v] = v
+		last = v
 	}
-
-	removeChild := func(p, c int) {
-		list := children[p]
-		for i, w := range list {
-			if w == c {
-				list[i] = list[len(list)-1]
-				children[p] = list[:len(list)-1]
-				return
-			}
-		}
-	}
+	thread[last] = root
+	revThread[root] = last
+	succNum[root] = n + 1
+	lastSucc[root] = last
 
 	reduced := func(i int) int64 {
 		a := arcs[i]
 		return a.cost - pot[a.from] + pot[a.to]
-	}
-
-	// inSubtree reports whether w lies in the subtree rooted at y.
-	inSubtree := func(w, y int) bool {
-		for depth[w] > depth[y] {
-			w = parent[w]
-		}
-		return w == y
 	}
 
 	total := len(arcs)
@@ -150,11 +161,18 @@ func (nw *Network) SolveSimplexCtx(ctx context.Context) (sol *Solution, err erro
 		return flow[ai]
 	}
 
-	// Scratch buffers for the tree surgery, reused across pivots with
-	// [:0] resets: the backing arrays grow to the longest re-hang chain
-	// seen and then the loop runs allocation-free (alloc_test.go holds
-	// the measured baseline).
-	var chain, oldArcs, stack []int
+	// Stem scratch for the tree update: stem[i] is the i-th node on the
+	// path from the entering endpoint up to the root of the leaving
+	// subtree, with its parent arc and thread bookkeeping as they were
+	// before the update. A path has at most n+1 nodes, so the pivot loop
+	// writes it by index and never grows it.
+	type stemNode struct {
+		node, arc int
+		// last, rev, next and size are lastSucc[node],
+		// revThread[node], thread[lastSucc[node]] and succNum[node].
+		last, rev, next, size int
+	}
+	stem := make([]stemNode, n+1)
 
 	//relint:hot
 	for pivots := 0; ; pivots++ {
@@ -174,7 +192,8 @@ func (nw *Network) SolveSimplexCtx(ctx context.Context) (sol *Solution, err erro
 		var bestViol int64
 		if degenerate > degenerateLimit {
 			// Bland's rule: first violating index.
-			for i := 0; i < total; i++ {
+			i := 0
+			for ; i < total; i++ {
 				if state[i] == inTree {
 					continue
 				}
@@ -184,6 +203,7 @@ func (nw *Network) SolveSimplexCtx(ctx context.Context) (sol *Solution, err erro
 					break
 				}
 			}
+			pricingScans += i
 		} else {
 			scanned := 0
 			for scanned < total && entering < 0 {
@@ -210,6 +230,7 @@ func (nw *Network) SolveSimplexCtx(ctx context.Context) (sol *Solution, err erro
 				}
 				scanned += blockSize
 			}
+			pricingScans += scanned
 		}
 		if entering < 0 {
 			break // optimal
@@ -222,7 +243,25 @@ func (nw *Network) SolveSimplexCtx(ctx context.Context) (sol *Solution, err erro
 			u, v = v, u
 		}
 
-		// Walk both sides to the LCA, recording the blocking residual.
+		// Join of the cycle: subtree sizes strictly grow toward the
+		// root, so the side with the smaller subtree cannot be the join
+		// and steps up. The step counts are each side's distance to it.
+		x, y := v, u
+		dx, dy := 0, 0
+		for x != y {
+			if succNum[x] < succNum[y] {
+				x = parent[x]
+				dx++
+			} else {
+				y = parent[y]
+				dy++
+			}
+		}
+		join := x
+
+		// Leaving arc: walk both sides to the join, deeper side first
+		// and the v side on ties, keeping the first strictly smallest
+		// residual.
 		delta := ea.cap
 		if state[entering] == atUpper {
 			delta = flow[entering]
@@ -232,21 +271,25 @@ func (nw *Network) SolveSimplexCtx(ctx context.Context) (sol *Solution, err erro
 			delta = Unbounded
 		}
 		leaving := entering
-
-		x, y := v, u
-		for x != y {
-			if depth[x] >= depth[y] {
+		leavingOnV := false
+		x, y = v, u
+		for dx > 0 || dy > 0 {
+			if dx >= dy {
 				if r := stepResidual(x, true); r < delta {
 					delta = r
 					leaving = parentArc[x]
+					leavingOnV = true
 				}
 				x = parent[x]
+				dx--
 			} else {
 				if r := stepResidual(y, false); r < delta {
 					delta = r
 					leaving = parentArc[y]
+					leavingOnV = false
 				}
 				y = parent[y]
+				dy--
 			}
 		}
 		if delta == Unbounded {
@@ -260,29 +303,27 @@ func (nw *Network) SolveSimplexCtx(ctx context.Context) (sol *Solution, err erro
 		}
 
 		// Apply the flow change around the cycle.
-		if state[entering] == atUpper {
-			flow[entering] -= delta
-		} else {
-			flow[entering] += delta
-		}
-		x, y = v, u
-		for x != y {
-			if depth[x] >= depth[y] {
+		if delta > 0 {
+			if state[entering] == atUpper {
+				flow[entering] -= delta
+			} else {
+				flow[entering] += delta
+			}
+			for x := v; x != join; x = parent[x] {
 				ai := parentArc[x]
 				if arcs[ai].from == x {
 					flow[ai] += delta
 				} else {
 					flow[ai] -= delta
 				}
-				x = parent[x]
-			} else {
+			}
+			for y := u; y != join; y = parent[y] {
 				ai := parentArc[y]
 				if arcs[ai].to == y {
 					flow[ai] += delta
 				} else {
 					flow[ai] -= delta
 				}
-				y = parent[y]
 			}
 		}
 
@@ -297,7 +338,9 @@ func (nw *Network) SolveSimplexCtx(ctx context.Context) (sol *Solution, err erro
 			continue
 		}
 
-		// Tree surgery: remove the leaving arc, attach the entering arc.
+		// Tree update. Removing the leaving arc cuts off the subtree S
+		// rooted at yl; p is the entering endpoint inside S (on the side
+		// where the leaving arc was found) and q the one outside.
 		la := arcs[leaving]
 		yl := la.from
 		if parent[la.to] == la.from {
@@ -308,50 +351,85 @@ func (nw *Network) SolveSimplexCtx(ctx context.Context) (sol *Solution, err erro
 		} else {
 			state[leaving] = atUpper
 		}
-		removeChild(parent[yl], yl)
-
-		p, q := ea.from, ea.to
-		if !inSubtree(p, yl) {
-			p, q = q, p
+		p, q := u, v
+		if leavingOnV {
+			p, q = v, u
 		}
-		// Re-root the detached subtree at p by reversing the chain p→yl.
-		chain = chain[:0]
+		k := 0
 		for w := p; ; w = parent[w] {
-			chain = append(chain, w)
+			st := &stem[k]
+			st.node, st.arc = w, parentArc[w]
+			st.last, st.rev, st.size = lastSucc[w], revThread[w], succNum[w]
+			st.next = thread[st.last]
 			if w == yl {
 				break
 			}
+			k++
 		}
-		oldArcs = oldArcs[:0]
-		for i := 0; i+1 < len(chain); i++ {
-			oldArcs = append(oldArcs, parentArc[chain[i]])
-			removeChild(chain[i+1], chain[i])
+		size := stem[k].size
+		treeUpdateNodes += size
+
+		// Cut S out of the thread and out of its old ancestors.
+		before, after := stem[k].rev, stem[k].next
+		thread[before] = after
+		revThread[after] = before
+		for w := parent[yl]; w != -1 && lastSucc[w] == stem[k].last; w = parent[w] {
+			lastSucc[w] = before
 		}
-		for i := 0; i+1 < len(chain); i++ {
-			parent[chain[i+1]] = chain[i]
-			parentArc[chain[i+1]] = oldArcs[i]
-			children[chain[i]] = append(children[chain[i]], chain[i+1])
+		for w := parent[yl]; w != join; w = parent[w] {
+			succNum[w] -= size
+		}
+
+		// Re-root S at p. Its new preorder is p's old subtree followed,
+		// for each stem node s above it, by s's old segment without the
+		// stem child's subtree: the part before that subtree, then the
+		// part after it (empty when the child's subtree ended s's).
+		tail := stem[0].last
+		for i := 1; i <= k; i++ {
+			s, c := stem[i], stem[i-1]
+			thread[tail] = s.node
+			revThread[s.node] = tail
+			tail = c.rev
+			if s.last != c.last {
+				thread[tail] = c.next
+				revThread[c.next] = tail
+				tail = s.last
+			}
+			parent[s.node] = c.node
+			parentArc[s.node] = c.arc
+			succNum[s.node] = size - c.size
+		}
+		for i := 0; i <= k; i++ {
+			lastSucc[stem[i].node] = tail
 		}
 		parent[p] = q
 		parentArc[p] = entering
-		children[q] = append(children[q], p)
+		succNum[p] = size
 		state[entering] = inTree
 
-		// Refresh depth and potentials over the re-hung subtree.
-		stack = append(stack[:0], p)
-		for len(stack) > 0 {
-			w := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			pw := parent[w]
-			ai := parentArc[w]
-			depth[w] = depth[pw] + 1
-			if arcs[ai].from == pw {
-				// rc = cost − pot(pw) + pot(w) = 0
-				pot[w] = pot[pw] - arcs[ai].cost
-			} else {
-				pot[w] = pot[pw] + arcs[ai].cost
-			}
-			stack = append(stack, children[w]...)
+		// Splice S in as q's first subtree.
+		next := thread[q]
+		thread[q] = p
+		revThread[p] = q
+		thread[tail] = next
+		revThread[next] = tail
+		for w := q; w != -1 && lastSucc[w] == q; w = parent[w] {
+			lastSucc[w] = tail
+		}
+		for w := q; w != join; w = parent[w] {
+			succNum[w] += size
+		}
+
+		// Tree arcs inside S are unchanged, so its potentials all move
+		// by the one constant that zeroes the entering arc's reduced
+		// cost.
+		sigma := pot[q] + ea.cost - pot[p]
+		if ea.from == q {
+			sigma = pot[q] - ea.cost - pot[p]
+		}
+		for w, i := p, 0; i < size; i++ {
+			pot[w] += sigma
+			w = thread[w]
 		}
 	}
 

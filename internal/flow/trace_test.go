@@ -75,6 +75,36 @@ func TestFallbackTraceRecordsBothSolvers(t *testing.T) {
 	}
 }
 
+// TestSimplexTraceCountsTreeWork pins the cost counters of a completed
+// simplex solve: the moved-subtree sizes (tree_update_nodes) and the
+// arcs priced by entering-arc selection (pricing_scans) are recorded,
+// and a pivot moves at most all n+1 basis nodes.
+func TestSimplexTraceCountsTreeWork(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	nw := randomFeasible(t, rng, 12)
+	tr := obs.New("test")
+	if _, err := nw.SolveSimplexCtx(obs.WithTracer(context.Background(), tr)); err != nil {
+		t.Fatalf("simplex: %v", err)
+	}
+	tr.Finish()
+	r := tr.Report()
+	pivots := r.Sum("flow.simplex", "pivots")
+	moved := r.Sum("flow.simplex", "tree_update_nodes")
+	scans := r.Sum("flow.simplex", "pricing_scans")
+	if pivots <= 0 {
+		t.Fatalf("pivots = %d, want > 0", pivots)
+	}
+	if moved <= 0 {
+		t.Errorf("tree_update_nodes = %d, want > 0", moved)
+	}
+	if scans <= 0 {
+		t.Errorf("pricing_scans = %d, want > 0", scans)
+	}
+	if bound := pivots * int64(nw.NumNodes()+1); moved > bound {
+		t.Errorf("tree_update_nodes = %d exceeds pivots·(n+1) = %d", moved, bound)
+	}
+}
+
 // spanEvents extracts event names for assertions.
 func spanEvents(sp *obs.Span) []string {
 	var names []string
