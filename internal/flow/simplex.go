@@ -192,8 +192,8 @@ func (nw *Network) SolveSimplexCtx(ctx context.Context) (sol *Solution, err erro
 		var bestViol int64
 		if degenerate > degenerateLimit {
 			// Bland's rule: first violating index.
-			i := 0
-			for ; i < total; i++ {
+			for i := 0; i < total; i++ {
+				pricingScans++
 				if state[i] == inTree {
 					continue
 				}
@@ -203,7 +203,6 @@ func (nw *Network) SolveSimplexCtx(ctx context.Context) (sol *Solution, err erro
 					break
 				}
 			}
-			pricingScans += i
 		} else {
 			scanned := 0
 			for scanned < total && entering < 0 {
