@@ -103,8 +103,8 @@ bench:
 # feed, poll it to completion, and require (a) a clean certificate,
 # (b) the full queued → leased → solving → certifying → done stage
 # sequence with a pivot-count progress event on the SSE stream, and
-# (c) per-stage latency histograms on /metrics. Cleans up the server on
-# any exit.
+# (c) per-stage latency histograms plus the scrape-time queue-depth and
+# worker-pool gauges on /metrics. Cleans up the server on any exit.
 SERVEADDR ?= 127.0.0.1:18417
 serve-smoke:
 	$(GO) build -o build/rar ./cmd/rar
@@ -148,11 +148,16 @@ serve-smoke:
 		|| { echo "serve-smoke: no pivots progress event on the SSE stream"; exit 1; }; \
 	grep -q '^event: end' build/serve-sse.out \
 		|| { echo "serve-smoke: SSE stream did not finish with an end event"; exit 1; }; \
-	curl -fsS http://$(SERVEADDR)/metrics | grep -q '^relatch_engine_submitted_total 1$$' \
+	metrics=$$(curl -fsS http://$(SERVEADDR)/metrics); \
+	printf '%s\n' "$$metrics" | grep -q '^relatch_engine_submitted_total 1$$' \
 		|| { echo "serve-smoke: metrics missing submission counter"; exit 1; }; \
-	curl -fsS http://$(SERVEADDR)/metrics \
+	printf '%s\n' "$$metrics" \
 		| grep -q '^relatch_job_stage_seconds_count{stage="solve"} 1$$' \
 		|| { echo "serve-smoke: metrics missing solve-stage histogram"; exit 1; }; \
+	printf '%s\n' "$$metrics" | grep -q '^relatch_queue_depth 0$$' \
+		|| { echo "serve-smoke: queue depth gauge not 0 after the job finished"; exit 1; }; \
+	printf '%s\n' "$$metrics" | grep -q '^relatch_engine_workers 2$$' \
+		|| { echo "serve-smoke: worker-pool gauge not 2 under -j 2"; exit 1; }; \
 	echo "serve-smoke ok"
 
 # Serving SLO baseline: replay a burst of job submissions against a

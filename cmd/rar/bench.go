@@ -7,6 +7,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"sync"
 
 	"relatch/internal/bench"
 	"relatch/internal/cell"
@@ -134,12 +135,13 @@ func runBenchJSON(ctx context.Context, o options) error {
 	return enc.Encode(benchDoc{SchemaVersion: benchSchemaVersion, Rows: rows})
 }
 
-// benchSweep validates the lists, submits every benchmark×approach cell
-// to a fresh engine, and collects rows in submission order (so the
-// output is independent of completion order) before sorting them by
-// (bench, approach). Solver effort comes from a per-row tracer: pivots
-// is the sum over that row's flow.simplex spans, augmentations over its
-// flow.ssp spans — both zero when the row came from the cache.
+// benchSweep validates the lists, runs every benchmark×approach cell on
+// a fresh engine, one goroutine per cell, and collects rows by cell
+// index (so the output is independent of completion order) before
+// sorting them by (bench, approach). Solver effort comes from a per-row
+// tracer: pivots is the sum over that row's flow.simplex spans,
+// augmentations over its flow.ssp spans — both zero when the row came
+// from the cache.
 func benchSweep(ctx context.Context, o options) ([]benchRow, engine.Stats, error) {
 	m, err := flow.ParseMethod(o.method)
 	if err != nil {
@@ -165,8 +167,8 @@ func benchSweep(ctx context.Context, o options) ([]benchRow, engine.Stats, error
 	type sweepCell struct {
 		prof   bench.Profile
 		ap     engine.Approach
+		job    engine.Job
 		tracer *obs.Tracer
-		ticket *engine.Ticket
 	}
 	var cells []sweepCell
 	for _, prof := range benches {
@@ -186,26 +188,33 @@ func benchSweep(ctx context.Context, o options) ([]benchRow, engine.Stats, error
 			opt.TimingModel = sta.ModelGate
 		}
 		for _, ap := range approaches {
-			tr := obs.New("bench")
-			t, err := eng.Submit(obs.WithTracer(ctx, tr), engine.Job{
-				Circuit:  c,
-				Approach: ap,
-				Options:  opt,
-				PostSwap: ap.IsVLib(),
+			cells = append(cells, sweepCell{
+				prof:   prof,
+				ap:     ap,
+				job:    engine.Job{Circuit: c, Approach: ap, Options: opt, PostSwap: ap.IsVLib()},
+				tracer: obs.New("bench"),
 			})
-			if err != nil {
-				return nil, engine.Stats{}, fmt.Errorf("%s/%s: %w", prof.Name, ap, err)
-			}
-			cells = append(cells, sweepCell{prof: prof, ap: ap, tracer: tr, ticket: t})
 		}
 	}
 
+	outs := make([]*engine.Outcome, len(cells))
+	errs := make([]error, len(cells))
+	var wg sync.WaitGroup
+	for i, cl := range cells {
+		wg.Add(1)
+		go func(i int, cl sweepCell) {
+			defer wg.Done()
+			outs[i], errs[i] = eng.Do(obs.WithTracer(ctx, cl.tracer), cl.job)
+		}(i, cl)
+	}
+	wg.Wait()
+
 	rows := make([]benchRow, 0, len(cells))
-	for _, cl := range cells {
-		out, err := cl.ticket.Wait(ctx)
-		if err != nil {
-			return nil, engine.Stats{}, fmt.Errorf("%s/%s: %w", cl.prof.Name, cl.ap, err)
+	for i, cl := range cells {
+		if errs[i] != nil {
+			return nil, engine.Stats{}, fmt.Errorf("%s/%s: %w", cl.prof.Name, cl.ap, errs[i])
 		}
+		out := outs[i]
 		cl.tracer.Finish()
 		rep := cl.tracer.Report()
 		sum := out.Summary()

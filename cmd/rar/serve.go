@@ -24,12 +24,13 @@ import (
 // GET /jobs/{id}/events streams live stage transitions and solver
 // progress as Server-Sent Events, GET /jobs?state=dead inspects the
 // dead letter, /healthz is liveness, /readyz readiness, GET /metrics
-// the obs counters plus per-stage latency histograms. With -queue-dir
-// the journal survives crashes: restarting on the same directory
-// recovers every queued and in-flight job. -debug-addr exposes
-// net/http/pprof on a second, private listener. SIGINT drains the
-// listener gracefully, then the deferred closes stop the pump, queue
-// and engine; a clean shutdown exits 0.
+// the obs counters, per-stage latency histograms and the worker, cache
+// and queue gauges, read from the engine and queue at scrape time.
+// With -queue-dir the journal survives crashes: restarting on the same
+// directory recovers every queued and in-flight job. -debug-addr
+// exposes net/http/pprof on a second, private listener. SIGINT drains
+// the listener gracefully, then the deferred closes stop the pump,
+// queue and engine; a clean shutdown exits 0.
 //
 // With -peers/-node-id the node joins a static cluster: submissions
 // for keys another shard owns are forwarded there, local cache misses
@@ -106,15 +107,6 @@ func runServe(ctx context.Context, o options) error {
 		return err
 	}
 	defer d.Close()
-	coll, err := engine.NewCollector(engine.CollectorConfig{
-		Engine:  eng,
-		Queue:   q,
-		Metrics: metrics,
-	})
-	if err != nil {
-		return err
-	}
-	defer coll.Close()
 	srv, err := engine.NewServer(engine.ServerConfig{
 		Durable:        d,
 		Tracer:         tr,

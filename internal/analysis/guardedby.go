@@ -22,7 +22,7 @@ import (
 //
 // The walker tracks held mutexes through Lock/RLock, Unlock/RUnlock
 // and `defer mu.Unlock()` (held to function end), and is branch-aware:
-// an early-exit arm like engine.Submit's
+// an early-exit arm like engine.Do's
 //
 //	e.mu.Lock()
 //	if e.closed { e.mu.Unlock(); return ... }

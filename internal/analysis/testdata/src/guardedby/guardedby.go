@@ -34,7 +34,7 @@ func (b *Box) Toggle() {
 	b.last = 7 // want "Box.last is accessed without holding mu"
 }
 
-// Branchy replays engine.Submit's early-exit shape: the unlocking arm
+// Branchy replays engine.Do's early-exit shape: the unlocking arm
 // returns, so the fall-through path still holds the lock and its
 // accesses are legal.
 func (b *Box) Branchy(stop bool) {

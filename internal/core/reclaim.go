@@ -17,8 +17,9 @@ import (
 //
 // The input result is not modified; the returned result carries a resized
 // clone of the circuit, the same slave placement, and the re-settled
-// error-detecting set.
-func ReclaimBySizing(res *Result, maxIter int) (*Result, synth.CompileResult, error) {
+// error-detecting set. The re-evaluation runs under ctx, so its spans
+// land in the caller's trace.
+func ReclaimBySizing(ctx context.Context, res *Result, maxIter int) (*Result, synth.CompileResult, error) {
 	if res.Placement == nil {
 		return nil, synth.CompileResult{}, fmt.Errorf("core: %w: result carries no placement", ErrBadInput)
 	}
@@ -35,7 +36,7 @@ func ReclaimBySizing(res *Result, maxIter int) (*Result, synth.CompileResult, er
 	}
 	comp := tool.SizeOnlyCompile(req, res.Placement, opt.Scheme, latch, maxIter)
 
-	out := evaluate(context.Background(), c, opt, res.Approach, res.Placement, latch)
+	out := evaluate(ctx, c, opt, res.Approach, res.Placement, latch)
 	out.Objective = res.Objective
 	out.Classes = res.Classes
 	out.Runtime = res.Runtime

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"relatch/internal/bench"
@@ -27,7 +28,7 @@ func TestReclaimBySizing(t *testing.T) {
 	if res.EDCount == 0 {
 		t.Skip("no error-detecting masters left to reclaim")
 	}
-	reclaimed, comp, err := ReclaimBySizing(res, 0)
+	reclaimed, comp, err := ReclaimBySizing(context.Background(), res, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestReclaimNoOpWhenClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reclaimed, comp, err := ReclaimBySizing(res, 0)
+	reclaimed, comp, err := ReclaimBySizing(context.Background(), res, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

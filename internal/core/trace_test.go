@@ -119,3 +119,34 @@ func TestRetimeUntracedHasNilTrace(t *testing.T) {
 		t.Fatalf("untraced run attached a trace: %+v", res.Trace)
 	}
 }
+
+// TestReclaimTracesUnderCaller pins that ReclaimBySizing threads its
+// context: the re-evaluation's core.evaluate and sta.analyze spans land
+// in the caller's tracer, not in a detached background context.
+func TestReclaimTracesUnderCaller(t *testing.T) {
+	lib := cell.Default(1.0)
+	prof, ok := bench.ProfileByName("s1196")
+	if !ok {
+		t.Fatal("s1196 profile missing")
+	}
+	c, scheme, err := prof.Build(lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Retime(c, Options{Scheme: scheme, EDLCost: 1.0}, ApproachGRAR)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tr := obs.New("test")
+	if _, _, err := ReclaimBySizing(obs.WithTracer(context.Background(), tr), res, 0); err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	r := tr.Report()
+	for _, name := range []string{"core.evaluate", "sta.analyze"} {
+		if len(r.Spans(name)) == 0 {
+			t.Errorf("span %q missing from the caller's trace", name)
+		}
+	}
+}

@@ -157,7 +157,7 @@ func (c *Cache) peerFetcher() PeerFetcher {
 }
 
 // Len returns the number of entries currently resident in the memory
-// layer. The serving collector samples it as a gauge.
+// layer; /metrics reads it at scrape time as a gauge.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

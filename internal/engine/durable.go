@@ -28,10 +28,6 @@ type DurableConfig struct {
 	// Metrics, when non-nil, receives readiness gauges; the queue's own
 	// transition metrics are configured on the queue.
 	Metrics *obs.Registry
-	// Workers bounds concurrent pump goroutines (≤ 0 means the engine's
-	// worker count) — the engine's own pool is the real execution bound,
-	// so this only caps how many leases are outstanding at once.
-	Workers int
 	// Poll is the idle sleep between lease attempts when the queue has
 	// nothing eligible. ≤ 0 means 25ms.
 	Poll time.Duration
@@ -87,9 +83,6 @@ func NewDurable(cfg DurableConfig) (*Durable, error) {
 	if cfg.Engine == nil || cfg.Queue == nil {
 		return nil, fmt.Errorf("engine: %w: durable layer needs an engine and a queue", ErrBadConfig)
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = cap(cfg.Engine.sem)
-	}
 	if cfg.Poll <= 0 {
 		cfg.Poll = 25 * time.Millisecond
 	}
@@ -110,7 +103,9 @@ func NewDurable(cfg DurableConfig) (*Durable, error) {
 	// Seed the poisoning watermark so pre-existing counts (a reused
 	// cache dir) don't flip readiness at startup.
 	d.poisonedSeen = cfg.Engine.Stats().Cache.Poisoned
-	for i := 0; i < cfg.Workers; i++ {
+	// One pump per engine worker: more would only hold leases that wait
+	// for a slot.
+	for i := 0; i < cfg.Engine.Workers(); i++ {
 		d.wg.Add(1)
 		go d.worker()
 	}

@@ -112,103 +112,6 @@ func (o *Outcome) Summary() Summary {
 	return s
 }
 
-// State is a ticket's position in its lifecycle.
-type State int
-
-// Ticket states, in lifecycle order.
-const (
-	StateQueued State = iota
-	StateRunning
-	StateDone
-	StateFailed
-)
-
-func (s State) String() string {
-	switch s {
-	case StateQueued:
-		return "queued"
-	case StateRunning:
-		return "running"
-	case StateDone:
-		return "done"
-	case StateFailed:
-		return "failed"
-	}
-	return fmt.Sprintf("state(%d)", int(s))
-}
-
-// Ticket tracks one submission from Submit to completion.
-type Ticket struct {
-	ID  string
-	Key Key
-
-	mu        sync.Mutex
-	state     State     // guarded by mu
-	outcome   *Outcome  // guarded by mu
-	err       error     // guarded by mu
-	submitted time.Time // guarded by mu
-	started   time.Time // guarded by mu
-	finished  time.Time // guarded by mu
-
-	done chan struct{} // closed by finish; receive-only join, no lock needed
-}
-
-// Status returns the ticket's current state and lifecycle timestamps.
-func (t *Ticket) Status() (state State, submitted, started, finished time.Time) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.state, t.submitted, t.started, t.finished
-}
-
-// Err returns the job error once the ticket has failed, nil otherwise.
-func (t *Ticket) Err() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
-
-// Outcome returns the completed outcome, nil until the ticket is done.
-func (t *Ticket) Outcome() *Outcome {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.outcome
-}
-
-// Wait blocks until the job completes or ctx is cancelled. The returned
-// error wraps ctx.Err() when the wait — not the job — was cut short.
-func (t *Ticket) Wait(ctx context.Context) (*Outcome, error) {
-	select {
-	case <-t.done:
-	case <-ctx.Done():
-		return nil, fmt.Errorf("engine: waiting for %s: %w", t.ID, ctx.Err())
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.outcome, t.err
-}
-
-func (t *Ticket) setRunning() {
-	t.mu.Lock()
-	if t.state == StateQueued {
-		t.state = StateRunning
-		t.started = time.Now()
-	}
-	t.mu.Unlock()
-}
-
-func (t *Ticket) finish(out *Outcome, err error) {
-	t.mu.Lock()
-	t.outcome, t.err = out, err
-	t.finished = time.Now()
-	if err != nil {
-		t.state = StateFailed
-	} else {
-		t.state = StateDone
-	}
-	t.mu.Unlock()
-	close(t.done)
-}
-
 // Stats is a point-in-time snapshot of engine activity.
 type Stats struct {
 	Submitted    int64      `json:"submitted"`
@@ -225,8 +128,9 @@ type call struct {
 	err     error
 }
 
-// Engine runs retiming jobs on a bounded worker pool with singleflight
-// deduplication and result caching. Close cancels everything in flight.
+// Engine runs retiming jobs with singleflight deduplication and result
+// caching. Each Do runs on its caller's goroutine; a semaphore bounds
+// how many of them solve at once. Close cancels everything in flight.
 type Engine struct {
 	cfg     Config
 	baseCtx context.Context
@@ -241,12 +145,9 @@ type Engine struct {
 	hTotal     *obs.Histogram
 
 	mu       sync.Mutex
-	inflight map[Key]*call      // guarded by mu
-	tickets  map[string]*Ticket // guarded by mu
-	order    []string           // guarded by mu
-	nextID   int                // guarded by mu
-	stats    Stats              // guarded by mu
-	closed   bool               // guarded by mu
+	inflight map[Key]*call // guarded by mu
+	stats    Stats         // guarded by mu
+	closed   bool          // guarded by mu
 }
 
 // New builds an engine. The caller owns its lifecycle and must Close it.
@@ -261,7 +162,6 @@ func New(cfg Config) *Engine {
 		cancel:     cancel,
 		sem:        make(chan struct{}, cfg.Workers),
 		inflight:   make(map[Key]*call),
-		tickets:    make(map[string]*Ticket),
 		hQueueWait: cfg.Metrics.Histogram(`relatch_job_stage_seconds{stage="queue_wait"}`),
 		hSolve:     cfg.Metrics.Histogram(`relatch_job_stage_seconds{stage="solve"}`),
 		hCertify:   cfg.Metrics.Histogram(`relatch_job_stage_seconds{stage="certify"}`),
@@ -280,7 +180,7 @@ func (e *Engine) Saturated() bool { return len(e.sem) == cap(e.sem) }
 func (e *Engine) Workers() int { return cap(e.sem) }
 
 // WorkersBusy returns how many worker slots are occupied right now —
-// a point-in-time sample for the gauge collector.
+// read when /metrics is scraped.
 func (e *Engine) WorkersBusy() int { return len(e.sem) }
 
 // CachedOutcome returns a validated cached outcome for the job without
@@ -298,8 +198,8 @@ func (e *Engine) CachedOutcome(ctx context.Context, job Job) (*Outcome, bool) {
 	return e.cfg.Cache.Get(ctx, key, job)
 }
 
-// Close cancels every queued and in-flight job and waits for the
-// workers to drain. Submissions after Close fail.
+// Close cancels every queued and in-flight job and waits for their Do
+// calls to return. Do after Close fails with ErrClosed.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	e.closed = true
@@ -319,78 +219,27 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// Get looks a ticket up by ID.
-func (e *Engine) Get(id string) (*Ticket, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t, ok := e.tickets[id]
-	return t, ok
-}
-
-// Tickets lists every ticket in submission order.
-func (e *Engine) Tickets() []*Ticket {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]*Ticket, 0, len(e.order))
-	for _, id := range e.order {
-		out = append(out, e.tickets[id])
-	}
-	return out
-}
-
-// Submit schedules a job and returns its ticket immediately. The job
-// runs under a context derived from ctx (so tracers and values flow in,
-// and cancelling ctx cancels the job) that is also cut when the engine
-// closes or the job's timeout expires.
-func (e *Engine) Submit(ctx context.Context, job Job) (*Ticket, error) {
+// Do runs one job on the caller's goroutine and returns its outcome.
+// The job runs under a context derived from ctx (so tracers and values
+// flow in, and cancelling ctx cancels the job) that is also cut when
+// the engine closes or the job's timeout expires.
+func (e *Engine) Do(ctx context.Context, job Job) (*Outcome, error) {
 	key, err := job.Key()
 	if err != nil {
 		return nil, err
 	}
-	sp, ctx := obs.StartSpan(ctx, "engine.submit")
-	defer sp.End()
-	sp.Attr("key", key.Short())
-	sp.Attr("approach", string(job.Approach))
-
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return nil, fmt.Errorf("engine: %w", ErrClosed)
 	}
-	e.nextID++
-	t := &Ticket{
-		ID:        fmt.Sprintf("job-%06d", e.nextID),
-		Key:       key,
-		submitted: time.Now(),
-		done:      make(chan struct{}),
-	}
-	e.tickets[t.ID] = t
-	e.order = append(e.order, t.ID)
 	e.stats.Submitted++
 	e.wg.Add(1)
 	e.mu.Unlock()
-
-	sp.Attr("id", t.ID)
-	sp.Add("submitted", 1)
-
-	go e.run(ctx, t, job, key)
-	return t, nil
-}
-
-// Do is Submit followed by Wait.
-func (e *Engine) Do(ctx context.Context, job Job) (*Outcome, error) {
-	t, err := e.Submit(ctx, job)
-	if err != nil {
-		return nil, err
-	}
-	return t.Wait(ctx)
-}
-
-// run executes one submission end to end and settles its ticket.
-func (e *Engine) run(ctx context.Context, t *Ticket, job Job, key Key) {
 	defer e.wg.Done()
+	submitted := time.Now()
 
-	// The job context inherits the submission context (values — tracer,
+	// The job context inherits the caller's context (values — tracer,
 	// logger — and cancellation) and is additionally cut when the
 	// engine closes.
 	jobCtx, cancelJob := context.WithCancel(ctx)
@@ -400,15 +249,13 @@ func (e *Engine) run(ctx context.Context, t *Ticket, job Job, key Key) {
 
 	sp, jobCtx := obs.StartSpan(jobCtx, "engine.job")
 	defer sp.End()
-	sp.Attr("id", t.ID)
 	sp.Attr("key", key.Short())
 	sp.Attr("approach", string(job.Approach))
 
-	out, err := e.execute(jobCtx, sp, t, job, key)
+	out, err := e.execute(jobCtx, sp, job, key)
 	sp.Fail(err)
 	sp.End()
 	if err == nil {
-		_, submitted, _, _ := t.Status()
 		e.hTotal.Observe(time.Since(submitted))
 	}
 
@@ -419,23 +266,22 @@ func (e *Engine) run(ctx context.Context, t *Ticket, job Job, key Key) {
 		e.stats.Completed++
 	}
 	e.mu.Unlock()
-	t.finish(out, err)
+	return out, err
 }
 
-// execute resolves one submission: join an in-flight computation of the
-// same key as a follower, or lead one (cache lookup, bounded solve,
-// cache store).
-func (e *Engine) execute(ctx context.Context, sp *obs.Span, t *Ticket, job Job, key Key) (*Outcome, error) {
+// execute resolves one job: join an in-flight computation of the same
+// key as a follower, or lead one (cache lookup, bounded solve, cache
+// store).
+func (e *Engine) execute(ctx context.Context, sp *obs.Span, job Job, key Key) (*Outcome, error) {
 	e.mu.Lock()
 	if c, ok := e.inflight[key]; ok {
 		e.stats.Deduplicated++
 		e.mu.Unlock()
 		sp.Add("deduplicated", 1)
-		t.setRunning()
 		select {
 		case <-c.done:
 		case <-ctx.Done():
-			return nil, fmt.Errorf("engine: %s: %w", t.ID, ctx.Err())
+			return nil, fmt.Errorf("engine: %s: %w", key.Short(), ctx.Err())
 		}
 		if c.err != nil {
 			return nil, c.err
@@ -448,7 +294,7 @@ func (e *Engine) execute(ctx context.Context, sp *obs.Span, t *Ticket, job Job, 
 	e.inflight[key] = c
 	e.mu.Unlock()
 
-	out, err := e.lead(ctx, t, job, key)
+	out, err := e.lead(ctx, job, key)
 	c.outcome, c.err = out, err
 	e.mu.Lock()
 	delete(e.inflight, key)
@@ -460,16 +306,15 @@ func (e *Engine) execute(ctx context.Context, sp *obs.Span, t *Ticket, job Job, 
 // lead computes the outcome for a key: waits for a worker slot, tries
 // the cache, solves with a panic guard under the job deadline, and
 // stores the fresh result.
-func (e *Engine) lead(ctx context.Context, t *Ticket, job Job, key Key) (*Outcome, error) {
+func (e *Engine) lead(ctx context.Context, job Job, key Key) (*Outcome, error) {
 	waitStart := time.Now()
 	select {
 	case e.sem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, fmt.Errorf("engine: %s queued: %w", t.ID, ctx.Err())
+		return nil, fmt.Errorf("engine: %s queued: %w", key.Short(), ctx.Err())
 	}
 	defer func() { <-e.sem }()
 	e.hQueueWait.Observe(time.Since(waitStart))
-	t.setRunning()
 
 	if e.cfg.Cache != nil {
 		if out, ok := e.cfg.Cache.Get(ctx, key, job); ok {

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,6 +20,23 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// doAll runs every job through Do on its own goroutine and returns the
+// outcomes and errors by job index.
+func doAll(eng *Engine, jobs []Job) ([]*Outcome, []error) {
+	outs := make([]*Outcome, len(jobs))
+	errs := make([]error, len(jobs))
+	var wg sync.WaitGroup
+	for i, job := range jobs {
+		wg.Add(1)
+		go func(i int, job Job) {
+			defer wg.Done()
+			outs[i], errs[i] = eng.Do(context.Background(), job)
+		}(i, job)
+	}
+	wg.Wait()
+	return outs, errs
 }
 
 func TestSingleflightDeduplicates(t *testing.T) {
@@ -39,29 +58,27 @@ func TestSingleflightDeduplicates(t *testing.T) {
 
 	job := testJob(t, GRAR)
 	const n = 8
-	tickets := make([]*Ticket, n)
-	for i := range tickets {
-		tk, err := eng.Submit(context.Background(), job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets[i] = tk
+	jobs := make([]Job, n)
+	for i := range jobs {
+		jobs[i] = job
 	}
-	for _, tk := range tickets[1:] {
-		if tk.Key != tickets[0].Key {
-			t.Fatal("identical jobs got different keys")
-		}
-	}
-	// Hold the leader until every other submission has joined it, so the
-	// dedup path is exercised deterministically.
+	var outs []*Outcome
+	var errs []error
+	done := make(chan struct{})
+	go func() {
+		outs, errs = doAll(eng, jobs)
+		close(done)
+	}()
+	// Hold the leader until every other call has joined it, so the dedup
+	// path is exercised deterministically.
 	waitFor(t, "followers to join", func() bool { return eng.Stats().Deduplicated == n-1 })
 	close(release)
+	<-done
 
 	shared := 0
-	for _, tk := range tickets {
-		out, err := tk.Wait(context.Background())
-		if err != nil {
-			t.Fatal(err)
+	for i, out := range outs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
 		}
 		if out.Shared {
 			shared++
@@ -140,37 +157,39 @@ func TestCloseCancelsQueuedJobs(t *testing.T) {
 	})
 
 	costs := []float64{1.0, 1.5, 2.0}
-	tickets := make([]*Ticket, 0, len(costs))
-	for _, c := range costs {
-		job := testJob(t, GRAR)
-		job.Options.EDLCost = c // three distinct keys, one worker slot
-		tk, err := eng.Submit(context.Background(), job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets = append(tickets, tk)
+	jobs := make([]Job, len(costs))
+	for i, c := range costs {
+		jobs[i] = testJob(t, GRAR)
+		jobs[i].Options.EDLCost = c // three distinct keys, one worker slot
 	}
+	done := make(chan []error)
+	go func() {
+		_, errs := doAll(eng, jobs)
+		done <- errs
+	}()
 	<-started // one job running, two queued on the semaphore
+	waitFor(t, "every call to enter the engine", func() bool { return eng.Stats().Submitted == int64(len(jobs)) })
 	eng.Close()
+	errs := <-done
 
-	for i, tk := range tickets {
-		if _, err := tk.Wait(context.Background()); !IsClosed(err) {
-			t.Errorf("ticket %d: close surfaced as %v", i, err)
+	for i, err := range errs {
+		if !IsClosed(err) {
+			t.Errorf("job %d: close surfaced as %v", i, err)
 		}
 	}
-	if _, err := eng.Submit(context.Background(), testJob(t, GRAR)); err == nil {
-		t.Error("submission accepted after Close")
+	if _, err := eng.Do(context.Background(), testJob(t, GRAR)); !errors.Is(err, ErrClosed) {
+		t.Errorf("Do after Close: got %v, want ErrClosed", err)
 	}
 }
 
-func TestSubmitRejectsBadJobs(t *testing.T) {
+func TestDoRejectsBadJobs(t *testing.T) {
 	eng := New(Config{Workers: 1})
 	defer eng.Close()
-	if _, err := eng.Submit(context.Background(), Job{Approach: GRAR}); err == nil {
+	if _, err := eng.Do(context.Background(), Job{Approach: GRAR}); err == nil {
 		t.Error("nil-circuit job accepted")
 	}
-	if _, ok := eng.Get("job-000001"); ok {
-		t.Error("rejected job left a ticket behind")
+	if st := eng.Stats(); st.Submitted != 0 || st.Failed != 0 {
+		t.Errorf("rejected job was counted: %+v", st)
 	}
 }
 
@@ -196,18 +215,14 @@ func TestStressManyJobsFewKeys(t *testing.T) {
 
 	const jobs, keys = 200, 20
 	base := testJob(t, GRAR)
-	tickets := make([]*Ticket, 0, jobs)
-	for i := 0; i < jobs; i++ {
-		job := base
-		job.Options.EDLCost = 1.0 + float64(i%keys)/100
-		tk, err := eng.Submit(context.Background(), job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets = append(tickets, tk)
+	batch := make([]Job, jobs)
+	for i := range batch {
+		batch[i] = base
+		batch[i].Options.EDLCost = 1.0 + float64(i%keys)/100
 	}
-	for _, tk := range tickets {
-		if _, err := tk.Wait(context.Background()); err != nil {
+	_, errs := doAll(eng, batch)
+	for _, err := range errs {
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,9 +235,6 @@ func TestStressManyJobsFewKeys(t *testing.T) {
 	}
 	if st.Deduplicated+st.Cache.Hits != jobs-keys {
 		t.Errorf("dedup %d + cache hits %d ≠ %d duplicates", st.Deduplicated, st.Cache.Hits, jobs-keys)
-	}
-	if len(eng.Tickets()) != jobs {
-		t.Errorf("ticket ledger has %d entries, want %d", len(eng.Tickets()), jobs)
 	}
 }
 
@@ -260,23 +272,19 @@ func TestParallelMatchesSerial(t *testing.T) {
 	sweep := func(workers int) []Summary {
 		eng := New(Config{Workers: workers})
 		defer eng.Close()
-		tickets := make([]*Ticket, 0, 2*len(approaches))
+		jobs := make([]Job, 0, 2*len(approaches))
 		for _, cost := range []float64{1.0, 2.0} {
 			for _, ap := range approaches {
 				job := testJob(t, ap)
 				job.Options.EDLCost = cost
-				tk, err := eng.Submit(context.Background(), job)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tickets = append(tickets, tk)
+				jobs = append(jobs, job)
 			}
 		}
-		out := make([]Summary, 0, len(tickets))
-		for _, tk := range tickets {
-			o, err := tk.Wait(context.Background())
-			if err != nil {
-				t.Fatal(err)
+		outs, errs := doAll(eng, jobs)
+		out := make([]Summary, 0, len(jobs))
+		for i, o := range outs {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
 			}
 			out = append(out, stripVolatile(o.Summary()))
 		}

@@ -430,6 +430,11 @@ func TestServerMetrics(t *testing.T) {
 		`relatch_queue_jobs_total{event="enqueued"} 1`,
 		`relatch_queue_jobs_total{event="completed"} 1`,
 		"relatch_queue_depth 0",
+		"relatch_queue_leased 0",
+		"relatch_queue_retrying 0",
+		"relatch_engine_workers 2",
+		"relatch_engine_workers_busy 0",
+		"relatch_cache_entries 1",
 		"# TYPE relatch_job_stage_seconds histogram",
 		`relatch_job_stage_seconds_count{stage="solve"} 1`,
 		`relatch_job_stage_seconds_count{stage="certify"} 1`,
@@ -445,6 +450,57 @@ func TestServerMetrics(t *testing.T) {
 	// exposition — names, label escaping, float values, no NaN.
 	if err := obs.ValidateMetrics(strings.NewReader(text)); err != nil {
 		t.Errorf("metrics page does not scrape cleanly: %v", err)
+	}
+}
+
+// scrapeMetrics fetches the /metrics page as text.
+func scrapeMetrics(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	return buf.String()
+}
+
+// TestServerMetricsLiveGauges holds one job inside a blocking solve and
+// checks that a scrape reads the queue and worker gauges as they are at
+// that moment, with no sampler in between.
+func TestServerMetricsLiveGauges(t *testing.T) {
+	release := make(chan struct{})
+	ts, _ := newTestServer(t, func(cfg *Config, _ *queue.Config, _ *DurableConfig) {
+		cfg.SolveOverride = func(ctx context.Context, job Job) (*Outcome, error) {
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+			return nil, fmt.Errorf("test: solve released")
+		}
+	})
+	defer close(release)
+	postJob(t, ts, JobRequest{Verilog: testSource, Approach: "base"})
+
+	has := func(text, line string) bool {
+		return strings.Contains("\n"+text, "\n"+line+"\n")
+	}
+	var text string
+	waitFor(t, "the job to hold a lease and a worker", func() bool {
+		text = scrapeMetrics(t, ts)
+		return has(text, "relatch_queue_leased 1") && has(text, "relatch_engine_workers_busy 1")
+	})
+	for _, line := range []string{
+		"relatch_queue_depth 1",
+		"relatch_queue_leased 1",
+		"relatch_queue_retrying 0",
+		"relatch_engine_workers 2",
+		"relatch_engine_workers_busy 1",
+	} {
+		if !has(text, line) {
+			t.Errorf("metrics missing %q:\n%s", line, text)
+		}
 	}
 }
 

@@ -147,7 +147,7 @@ func Run(cfg Config) (*Suite, error) {
 // Config.Parallelism; benchmarks sweep concurrently under the same
 // bound. Suite.Runs keeps the requested profile order and every run is
 // byte-identical to a serial sweep — jobs solve on clones, and results
-// are collected by ticket, not by completion order.
+// are collected by job index, not by completion order.
 func RunCtx(ctx context.Context, cfg Config) (*Suite, error) {
 	lib := cell.Default(1.0)
 	profiles := cfg.Profiles
@@ -208,9 +208,9 @@ func RunCtx(ctx context.Context, cfg Config) (*Suite, error) {
 	return suite, nil
 }
 
-// retimeJobs submits the six retiming runs of one (circuit, overhead)
-// cell and collects them in submission order. All six solve concurrently
-// when the engine has slots to spare.
+// retimeJobs runs the six retiming jobs of one (circuit, overhead) cell,
+// one goroutine each, and collects them by index. All six solve
+// concurrently when the engine has slots to spare.
 func retimeJobs(ctx context.Context, eng *engine.Engine, c *netlist.Circuit, scheme clocking.Scheme, ov float64, method flow.Method, or *OverheadRun) error {
 	copt := core.Options{Scheme: scheme, EDLCost: ov, Method: method}
 	gateOpt := copt
@@ -223,25 +223,21 @@ func retimeJobs(ctx context.Context, eng *engine.Engine, c *netlist.Circuit, sch
 		{Circuit: c, Approach: engine.EVL, Options: copt, PostSwap: true},
 		{Circuit: c, Approach: engine.RVL, Options: copt, PostSwap: true},
 	}
-	tickets := make([]*engine.Ticket, len(jobs))
+	outs := make([]*engine.Outcome, len(jobs))
+	errs := make([]error, len(jobs))
+	var wg sync.WaitGroup
 	for i, job := range jobs {
-		t, err := eng.Submit(ctx, job)
+		wg.Add(1)
+		go func(i int, job engine.Job) {
+			defer wg.Done()
+			outs[i], errs[i] = eng.Do(ctx, job)
+		}(i, job)
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}
-		tickets[i] = t
-	}
-	outs := make([]*engine.Outcome, len(tickets))
-	var firstErr error
-	for i, t := range tickets {
-		out, err := t.Wait(ctx)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		outs[i] = out
-	}
-	if firstErr != nil {
-		return firstErr
 	}
 	or.Base = outs[0].Core
 	or.GRARPath = outs[1].Core
@@ -305,7 +301,7 @@ func runCircuit(ctx context.Context, cfg *Config, eng *engine.Engine, lib *cell.
 		}
 
 		if or.GRARPath.EDCount > 0 {
-			reclaimed, comp, err := core.ReclaimBySizing(or.GRARPath, 0)
+			reclaimed, comp, err := core.ReclaimBySizing(ctx, or.GRARPath, 0)
 			if err != nil {
 				return nil, err
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"sync"
 	"time"
 
 	"relatch/internal/bench"
@@ -31,7 +32,7 @@ func engineJob(lib *cell.Library) (engine.Job, error) {
 // engineFaults attacks the retiming job engine: worker panics, poisoned
 // on-disk cache entries, cancellation with jobs queued, and jobs that
 // cannot be content-addressed. Every corruption must surface as a
-// descriptive per-job error — never a crashed worker, a hung ticket or a
+// descriptive per-job error — never a crashed worker, a hung call or a
 // wrong result served from a bad cache entry.
 func engineFaults(lib *cell.Library) []Fault {
 	return []Fault{
@@ -111,22 +112,24 @@ func engineFaults(lib *cell.Library) []Fault {
 					return err
 				}
 				queued.Options.EDLCost = 2 // distinct key, waits for the only worker
-				if _, err := eng.Submit(ctx, job); err != nil {
-					return fmt.Errorf("faults: bad fixture: %v", err)
+				errs := make([]error, 2)
+				var wg sync.WaitGroup
+				for i, jb := range []engine.Job{job, queued} {
+					wg.Add(1)
+					go func(i int, jb engine.Job) {
+						defer wg.Done()
+						_, errs[i] = eng.Do(ctx, jb)
+					}(i, jb)
 				}
-				t, err := eng.Submit(ctx, queued)
-				if err != nil {
-					return fmt.Errorf("faults: bad fixture: %v", err)
+				// Close only once both calls are inside the engine: one
+				// holds the only worker slot, the other waits for it, and
+				// Close must cut both.
+				for eng.Stats().Submitted < 2 && ctx.Err() == nil {
+					time.Sleep(time.Millisecond)
 				}
-				closed := make(chan struct{})
-				go func() {
-					defer close(closed)
-					time.Sleep(10 * time.Millisecond)
-					eng.Close()
-				}()
-				_, err = t.Wait(ctx)
-				<-closed
-				return err
+				eng.Close()
+				wg.Wait()
+				return errs[1]
 			},
 		},
 		{
