@@ -12,6 +12,7 @@ import (
 	"relatch/internal/flow"
 	"relatch/internal/netlist"
 	"relatch/internal/obs"
+	"relatch/internal/rgraph"
 	"relatch/internal/sim"
 	"relatch/internal/sta"
 	"relatch/internal/vlib"
@@ -181,6 +182,30 @@ func BenchmarkRVL(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRGraphBuildPlasma times the G-RAR retiming-graph build on
+// Plasma, the largest benchmark: regions, endpoint classes, one cut set
+// g(t) per target over its fan-in cone, and the LP. It reports the
+// target count and the summed cone size the cut-set pass walked.
+func BenchmarkRGraphBuildPlasma(b *testing.B) {
+	prof, _ := bench.ProfileByName("Plasma")
+	c, scheme, err := prof.Build(cell.Default(1.0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	tm := sta.Analyze(c, sta.DefaultOptions(c.Lib))
+	cfg := rgraph.Config{Scheme: scheme, Latch: c.Lib.BaseLatch, EDLCost: 1, ResilientAware: true}
+	var g *rgraph.Graph
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if g, err = rgraph.Build(c, tm, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(g.NumTargets()), "targets")
+	b.ReportMetric(float64(g.NumConeNodes()), "cone_nodes")
 }
 
 // BenchmarkSTA times a full path-based timing analysis.

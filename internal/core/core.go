@@ -244,6 +244,8 @@ func RetimeCtx(ctx context.Context, c *netlist.Circuit, opt Options, approach Ap
 	}
 	bsp.Gauge("variables", int64(g.NumVariables()))
 	bsp.Gauge("constraints", int64(g.NumConstraints()))
+	bsp.Gauge("targets", int64(g.NumTargets()))
+	bsp.Gauge("cone_nodes", int64(g.NumConeNodes()))
 	bsp.End()
 	sol, err := g.SolveCtx(ctx, opt.Method)
 	if err != nil {

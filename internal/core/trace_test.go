@@ -48,6 +48,23 @@ func TestRetimeTraceTree(t *testing.T) {
 	if got := r.Sum("flow.simplex", "pivots"); got <= 0 {
 		t.Errorf("pivots = %d, want > 0", got)
 	}
+	// The build span explains its own cost: how many cut sets it
+	// computed and how many cone nodes that walked in total.
+	builds := r.Spans("rgraph.build")
+	if len(builds) == 1 {
+		targets, okT := builds[0].GaugeValue("targets")
+		cone, okC := builds[0].GaugeValue("cone_nodes")
+		switch {
+		case !okT || !okC:
+			t.Errorf("rgraph.build gauges targets=%v cone_nodes=%v, want both present", okT, okC)
+		case targets <= 0 || cone <= 0:
+			t.Errorf("rgraph.build targets=%d cone_nodes=%d, want both > 0 on s1196", targets, cone)
+		case cone > targets*int64(len(c.Nodes)):
+			t.Errorf("cone_nodes %d > targets %d × %d nodes", cone, targets, len(c.Nodes))
+		}
+	} else {
+		t.Errorf("%d rgraph.build spans, want 1", len(builds))
+	}
 	if got := r.Sum("lint.run", "rules_run"); got <= 0 {
 		t.Errorf("lint rules_run = %d, want > 0", got)
 	}

@@ -265,34 +265,12 @@ func (t *Timing) Arrival(o *netlist.Node) float64 { return t.arrival[o.ID] }
 // BackwardMap computes D^b(v, target) for every node v in the fan-in cone
 // of target, indexed by node ID; entries outside the cone are NaN.
 // D^b(v,t) is the maximum delay from the *output* of v to t, so a node
-// directly driving the target has D^b = 0.
+// directly driving the target has D^b = 0. The slice is freshly
+// allocated; callers walking many targets reuse one Cone instead.
 func (t *Timing) BackwardMap(target *netlist.Node) []float64 {
-	db := make([]float64, len(t.C.Nodes))
-	for i := range db {
-		db[i] = math.NaN()
-	}
-	cone := t.C.FaninCone(target)
-	db[target.ID] = 0
-	topo := t.C.Topo()
-	for i := len(topo) - 1; i >= 0; i-- {
-		n := topo[i]
-		if !cone[n.ID] || n == target {
-			continue
-		}
-		best := math.Inf(-1)
-		for _, f := range n.Fanout {
-			if !cone[f.ID] || math.IsNaN(db[f.ID]) {
-				continue
-			}
-			if d := t.EdgeDelay(n, f) + db[f.ID]; d > best {
-				best = d
-			}
-		}
-		if !math.IsInf(best, -1) {
-			db[n.ID] = best
-		}
-	}
-	return db
+	cn := t.NewCone()
+	cn.Walk(target)
+	return cn.db
 }
 
 // DbMax computes, for every node v, the maximum D^b(v,t) over all

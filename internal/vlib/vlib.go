@@ -23,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"relatch/internal/clocking"
@@ -164,7 +165,7 @@ func RetimeCtx(ctx context.Context, cin *netlist.Circuit, opt Options, variant V
 	var sol *rgraph.Solution
 	for attempt := 0; ; attempt++ {
 		attempts++
-		g, err := rgraph.Build(c, tool.Timing(), rgraph.Config{
+		g, err := buildAttempt(ctx, attempt, c, tool.Timing(), rgraph.Config{
 			Scheme:         opt.Scheme,
 			Latch:          latch,
 			EDLCost:        opt.EDLCost,
@@ -235,6 +236,25 @@ func RetimeCtx(ctx context.Context, cin *netlist.Circuit, opt Options, variant V
 	res.TotalArea = res.SeqArea + res.CombArea
 	res.Runtime = time.Since(start)
 	return res, nil
+}
+
+// buildAttempt builds one repair attempt's retiming graph under an
+// "rgraph.build" span tagged with the attempt number, so the per-attempt
+// rebuilds show up in the trace instead of as vlib.retime self-time.
+func buildAttempt(ctx context.Context, attempt int, c *netlist.Circuit, tm *sta.Timing, cfg rgraph.Config) (*rgraph.Graph, error) {
+	sp, _ := obs.StartSpan(ctx, "rgraph.build")
+	defer sp.End()
+	sp.Attr("attempt", strconv.Itoa(attempt))
+	g, err := rgraph.Build(c, tm, cfg)
+	if err != nil {
+		sp.Fail(err)
+		return nil, err
+	}
+	sp.Gauge("variables", int64(g.NumVariables()))
+	sp.Gauge("constraints", int64(g.NumConstraints()))
+	sp.Gauge("targets", int64(g.NumTargets()))
+	sp.Gauge("cone_nodes", int64(g.NumConeNodes()))
+	return g, nil
 }
 
 // relaxWorst flips the non-ED endpoint with the worst unlatched arrival
