@@ -150,6 +150,9 @@ func (l *DiffLP) lower() (nw *Network, perm []int, err error) {
 	// transshipment balances — exactly the paper's host demand
 	// X(h) = −B(h) − c·|V2| in Eq. (14).
 	nw = NewNetwork(l.n)
+	// One arc per constraint: sizing the arc slice up front keeps the
+	// append-doubling copies out of the heap peak of every solve.
+	nw.arcs = make([]Arc, 0, len(l.cons))
 	var sum int64
 	for v := 0; v < l.n; v++ {
 		sum += l.obj[v]
