@@ -7,28 +7,23 @@
 #   make analyze    relint: the full internal/analysis rule catalogue
 #   make fuzz-smoke short fuzzing pass over the Verilog parser
 #   make fuzz       longer fuzzing session (override FUZZTIME)
-#   make bench      regenerate BENCH_pipeline.json (perf trajectory)
 #   make serve-smoke end-to-end smoke of rar -serve over real HTTP,
 #                   including the SSE stage-event sequence
-#   make loadgen-smoke replay jobs against rar -serve at a target rate,
-#                   regenerate BENCH_serve.json (serving SLO baseline)
 #   make queue-crash-smoke SIGKILL rar -serve mid-job, restart on the
 #                   same -queue-dir, require the job to finish certified
 #   make cluster-smoke three-node sharded cluster on loopback, SIGKILL
 #                   one node mid-run, require every accepted job to
-#                   finish certified; appends a cluster loadgen row to
-#                   BENCH_serve.json
+#                   finish certified
+#
+# Performance is measured by relbench (see relbench/README.md), not here.
 
 GO      ?= go
 FUZZTIME ?= 10s
-# Workers for the bench sweep; any value produces row-identical JSON
-# (engine determinism contract), so parallelism is safe for the baseline.
-BENCHJOBS ?= 4
 # Benchmarks materialized as Verilog and re-linted through the parser;
 # every built-in profile is additionally linted in-memory.
 LINTBENCHES ?= s1196,s1238,s1423,s1488
 
-.PHONY: check test vet analyze build race lint certify fuzz-smoke fuzz bench serve-smoke loadgen-smoke queue-crash-smoke cluster-smoke
+.PHONY: check test vet analyze build race lint certify fuzz-smoke fuzz serve-smoke queue-crash-smoke cluster-smoke
 
 check: vet analyze build race fuzz-smoke
 
@@ -87,16 +82,6 @@ certify:
 			./build/rar -bench $$b -approach $$a -certify >/dev/null; \
 		done; \
 	done
-
-# Perf trajectory snapshot: every seed benchmark under every approach,
-# one JSON row each, with solver-effort counters (simplex pivots, SSP
-# augmenting paths) pulled from the pipeline trace. The committed
-# BENCH_pipeline.json is the baseline future perf PRs diff against; only
-# wall_ms is machine-dependent, every other column is deterministic.
-bench:
-	$(GO) build -o build/rar ./cmd/rar
-	./build/rar -bench-json -bench all -approach grar,base,nvl,evl,rvl -j $(BENCHJOBS) > BENCH_pipeline.json
-	@echo "wrote BENCH_pipeline.json"
 
 # End-to-end smoke of the HTTP serve mode: start rar -serve, submit a
 # benchmark job over real HTTP, attach an SSE consumer to its events
@@ -160,34 +145,6 @@ serve-smoke:
 		|| { echo "serve-smoke: worker-pool gauge not 2 under -j 2"; exit 1; }; \
 	echo "serve-smoke ok"
 
-# Serving SLO baseline: replay a burst of job submissions against a
-# live rar -serve at a target open-loop rate and regenerate the
-# committed BENCH_serve.json (achieved throughput, p50/p95/p99 latency,
-# shed/error accounting). The loadgen exits non-zero when the run is
-# unhealthy — no completions, dead jobs, transport errors, or
-# uncertified results — which fails the target.
-LOADGENADDR ?= 127.0.0.1:18437
-LOADGENN ?= 40
-LOADGENRATE ?= 40
-loadgen-smoke:
-	$(GO) build -o build/rar ./cmd/rar
-	$(GO) build -o build/loadgen ./cmd/loadgen
-	@set -e; \
-	./build/rar -serve $(LOADGENADDR) -j 4 & pid=$$!; \
-	trap 'kill $$pid 2>/dev/null || true' EXIT; \
-	up=0; for i in $$(seq 1 50); do \
-		if curl -fsS http://$(LOADGENADDR)/healthz >/dev/null 2>&1; then up=1; break; fi; \
-		sleep 0.2; \
-	done; \
-	test $$up = 1 || { echo "loadgen-smoke: server never came up"; exit 1; }; \
-	./build/loadgen -addr http://$(LOADGENADDR) -n $(LOADGENN) -rate $(LOADGENRATE) \
-		-bench s1196,s1423 -approach grar -out BENCH_serve.json; \
-	grep -q '"achieved_rps": [1-9]' BENCH_serve.json \
-		|| { echo "loadgen-smoke: no achieved throughput in BENCH_serve.json"; cat BENCH_serve.json; exit 1; }; \
-	grep -q '"p99_ms"' BENCH_serve.json \
-		|| { echo "loadgen-smoke: no p99 latency in BENCH_serve.json"; exit 1; }; \
-	echo "loadgen-smoke ok; wrote BENCH_serve.json"
-
 # Durability smoke: start rar -serve with a journal directory, submit a
 # job, SIGKILL the server before it can be polled, restart on the same
 # -queue-dir, and require the journaled job to be recovered and driven
@@ -248,16 +205,14 @@ queue-crash-smoke:
 # composed over real HTTP. Forwarded jobs are polled at the owner shard
 # the submit response names in X-Cluster-Node — the node whose journal
 # durably holds the job — so polling survives the accepting node's
-# restart. Finally a
-# cluster-mode loadgen row is appended to BENCH_serve.json next to the
-# single-node baseline.
+# restart. Finally each node's peer-fetch counters are printed from
+# /metrics, so the peer cache tier's hits and misses show in the log.
 CS1 ?= 127.0.0.1:18451
 CS2 ?= 127.0.0.1:18452
 CS3 ?= 127.0.0.1:18453
 CSPEERS = n1=http://$(CS1),n2=http://$(CS2),n3=http://$(CS3)
 cluster-smoke:
 	$(GO) build -o build/rar ./cmd/rar
-	$(GO) build -o build/loadgen ./cmd/loadgen
 	@set -e; \
 	d=$$(mktemp -d); p1=; p2=; p3=; \
 	trap 'kill -9 $$p1 $$p2 $$p3 2>/dev/null || true; rm -rf $$d' EXIT; \
@@ -311,10 +266,10 @@ cluster-smoke:
 	echo "cluster-smoke: all $$(wc -l < $$d/jobs) accepted jobs done-certified"; \
 	curl -fsS http://$(CS1)/metrics | grep -q '^relatch_cluster_peers 2$$' \
 		|| { echo "cluster-smoke: n1 metrics missing the peers gauge"; exit 1; }; \
-	./build/loadgen -addr http://$(CS1),http://$(CS2),http://$(CS3) \
-		-n 30 -rate 30 -bench s1196,s1423 -approach grar -append -out BENCH_serve.json; \
-	grep -q '"mode": "cluster"' BENCH_serve.json \
-		|| { echo "cluster-smoke: no cluster row in BENCH_serve.json"; exit 1; }; \
+	for a in $(CS1) $(CS2) $(CS3); do \
+		echo "cluster-smoke: $$a peer fetches:"; \
+		curl -fsS http://$$a/metrics | grep '^relatch_cluster_peer_fetch_total' || echo "  none"; \
+	done; \
 	echo "cluster-smoke ok"
 
 fuzz-smoke:

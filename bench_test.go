@@ -37,7 +37,7 @@ func benchSuite(b *testing.B, cfg experiments.Config, render func(*experiments.S
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := experiments.Run(cfg)
+		s, err := experiments.RunCtx(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func BenchmarkTimedSimulation(b *testing.B) {
 // flow instances.
 func BenchmarkNetworkSimplexRandom(b *testing.B) {
 	benchFlowSolver(b, func(nw *flow.Network) error {
-		_, err := nw.SolveSimplex()
+		_, err := nw.SolveSimplexCtx(context.Background())
 		return err
 	})
 }
@@ -248,7 +248,7 @@ func BenchmarkNetworkSimplexRandom(b *testing.B) {
 // same instances.
 func BenchmarkSSPRandom(b *testing.B) {
 	benchFlowSolver(b, func(nw *flow.Network) error {
-		_, err := nw.SolveSSP()
+		_, err := nw.SolveSSPCtx(context.Background())
 		return err
 	})
 }

@@ -18,7 +18,7 @@ import (
 	"relatch/internal/sta"
 )
 
-// benchSchemaVersion identifies the BENCH_pipeline.json layout: bumped
+// benchSchemaVersion identifies the -bench-json output layout: bumped
 // when rows gain/lose columns or the envelope changes shape. v3 made
 // solver/fallback unconditionally present: omitempty on solver meant
 // vlib rows (which have no LP solver) silently dropped the column, so
@@ -27,7 +27,7 @@ const benchSchemaVersion = 3
 
 // benchRow is one benchmark×approach measurement of the bench-json mode.
 // Everything except wall_ms is deterministic for a given build, so
-// committed snapshots diff cleanly on the columns that matter.
+// the outputs of two builds diff cleanly on the columns that matter.
 type benchRow struct {
 	Bench         string  `json:"bench"`
 	Approach      string  `json:"approach"`

@@ -30,7 +30,7 @@
 // to stderr, -trace-json the same as JSON, -metrics a Prometheus-style
 // dump, and -trace-chrome writes a chrome://tracing-loadable file; stdout
 // stays machine-pure throughout. -bench-json runs benchmark×approach
-// cells and prints one JSON row each on stdout (see make bench).
+// cells and prints one JSON row each on stdout.
 //
 // Exit codes: 0 success, 1 runtime error, 2 usage error, 3 timeout or
 // interrupt, 4 lint findings (error-severity diagnostics; warnings alone

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -163,7 +164,7 @@ func TestGRARMatchesExactOracle(t *testing.T) {
 		if err != nil {
 			continue // oracle limit exceeded or no legal retiming
 		}
-		sol, err := g.Solve(flow.MethodSimplex)
+		sol, err := g.SolveCtx(context.Background(), flow.MethodSimplex)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -200,7 +201,7 @@ func TestBaseNotBelowSlaveOracle(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		sol, err := g.Solve(flow.MethodSimplex)
+		sol, err := g.SolveCtx(context.Background(), flow.MethodSimplex)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -88,18 +89,28 @@ func newTestServer(t *testing.T, mutate func(*Config, *queue.Config, *DurableCon
 
 func postJob(t *testing.T, ts *httptest.Server, req JobRequest) (jobStatus, *http.Response) {
 	t.Helper()
-	body, err := json.Marshal(req)
+	js, resp, err := submitJob(ts, req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return js, resp
+}
+
+// submitJob is postJob without the testing.T, for submissions made from
+// goroutines other than the test's own.
+func submitJob(ts *httptest.Server, req JobRequest) (jobStatus, *http.Response, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return jobStatus{}, nil, err
+	}
 	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
+		return jobStatus{}, nil, err
 	}
 	defer resp.Body.Close()
 	var js jobStatus
 	json.NewDecoder(resp.Body).Decode(&js)
-	return js, resp
+	return js, resp, nil
 }
 
 func pollDone(t *testing.T, ts *httptest.Server, id string) jobStatus {
@@ -123,6 +134,63 @@ func pollDone(t *testing.T, ts *httptest.Server, id string) jobStatus {
 			t.Fatalf("job %s stuck in %q", id, js.Status)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// Concurrent HTTP submissions of distinct keys against a 4-worker
+// server: every job is accepted (no 429, no transport error), solved
+// rather than served from the cache, and ends done and certified.
+func TestServerConcurrentDistinctJobsAllCertified(t *testing.T) {
+	ts, st := newTestServer(t, func(c *Config, _ *queue.Config, _ *DurableConfig) {
+		c.Workers = 4
+	})
+	const perBench = 10
+	benches := []string{"s1196", "s1423"}
+	type accepted struct {
+		id, desc string
+	}
+	ids := make(chan accepted, perBench*len(benches))
+	errs := make(chan error, perBench*len(benches))
+	var wg sync.WaitGroup
+	for _, b := range benches {
+		for i := 0; i < perBench; i++ {
+			c := 0.5 + 0.1*float64(i)
+			req := JobRequest{Bench: b, Approach: "grar", C: &c}
+			desc := fmt.Sprintf("%s c=%.1f", b, c)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				js, resp, err := submitJob(ts, req)
+				switch {
+				case err != nil:
+					errs <- fmt.Errorf("%s: %w", desc, err)
+				case resp.StatusCode != http.StatusAccepted:
+					errs <- fmt.Errorf("%s: submit returned %d: %+v", desc, resp.StatusCode, js)
+				default:
+					ids <- accepted{js.ID, desc}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	close(ids)
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	n := 0
+	for a := range ids {
+		n++
+		done := pollDone(t, ts, a.id)
+		if done.Status != "done" || done.Result == nil || !done.Result.Certified {
+			t.Errorf("%s: ended %q, result %+v, want done and certified", a.desc, done.Status, done.Result)
+		}
+	}
+	if want := perBench * len(benches); n != want {
+		t.Fatalf("%d of %d submissions accepted", n, want)
+	}
+	if es := st.eng.Stats(); es.Cache.Hits != 0 || es.Completed != int64(n) {
+		t.Errorf("engine stats %+v: want %d jobs solved and no cache hit", es, n)
 	}
 }
 

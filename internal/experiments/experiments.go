@@ -133,12 +133,7 @@ func (cfg *Config) simCycles(gates int) int {
 	return base
 }
 
-// Run executes the sweep.
-func Run(cfg Config) (*Suite, error) {
-	return RunCtx(context.Background(), cfg)
-}
-
-// RunCtx is Run under a context: cancellation or deadline expiry stops
+// RunCtx executes the sweep. Cancellation or deadline expiry stops
 // the sweep between stages (and mid-solve inside each stage, since every
 // stage threads the context down to its flow solver or event loop) and
 // surfaces as an error wrapping ctx.Err().

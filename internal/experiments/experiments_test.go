@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -9,7 +10,7 @@ import (
 // single overhead; the full sweep lives in cmd/paper and the benchmarks.
 func smallSuite(t *testing.T) *Suite {
 	t.Helper()
-	s, err := Run(Config{
+	s, err := RunCtx(context.Background(), Config{
 		Profiles:      []string{"s1196", "s1488"},
 		Overheads:     []float64{1.0},
 		SimCycles:     200,
@@ -74,7 +75,7 @@ func TestAllTablesRender(t *testing.T) {
 }
 
 func TestUnknownProfileRejected(t *testing.T) {
-	if _, err := Run(Config{Profiles: []string{"nope"}}); err == nil {
+	if _, err := RunCtx(context.Background(), Config{Profiles: []string{"nope"}}); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 }
@@ -94,7 +95,7 @@ func TestOverheadNames(t *testing.T) {
 // thing Parallelism may change is wall-clock time.
 func TestParallelismMatchesSerial(t *testing.T) {
 	run := func(par int) *OverheadRun {
-		s, err := Run(Config{
+		s, err := RunCtx(context.Background(), Config{
 			Profiles:      []string{"s1196"},
 			Overheads:     []float64{1.0},
 			SimCycles:     100,

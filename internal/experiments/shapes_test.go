@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 )
 
@@ -18,7 +19,7 @@ func TestPaperShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("medium integration sweep")
 	}
-	s, err := Run(Config{
+	s, err := RunCtx(context.Background(), Config{
 		Profiles:      []string{"s1423", "s5378", "s9234"},
 		Overheads:     []float64{2.0},
 		SimCycles:     400,

@@ -124,11 +124,6 @@ type Result struct {
 	Certified      bool
 }
 
-// Solve is SolveCtx under context.Background().
-func (l *DiffLP) Solve(method Method) (*Result, error) {
-	return l.SolveCtx(context.Background(), method)
-}
-
 // lower builds the dual transshipment network — node demand(v) = obj(v),
 // one arc per constraint (u,v) with cost c — and the variable permutation
 // that moves the anchor to the highest node index so residualPotentials

@@ -1,6 +1,7 @@
 package flow_test
 
 import (
+	"context"
 	"fmt"
 
 	"relatch/internal/flow"
@@ -19,7 +20,7 @@ func ExampleDiffLP() {
 	lp.Constrain(1, 0, 1)
 	lp.Bound(0, -1, 0)
 	lp.Bound(1, -1, 0)
-	res, err := lp.Solve(flow.MethodSimplex)
+	res, err := lp.SolveCtx(context.Background(), flow.MethodSimplex)
 	if err != nil {
 		panic(err)
 	}
@@ -36,7 +37,7 @@ func ExampleNetwork() {
 	nw.SetDemand(1, 10)
 	nw.AddArc(0, 1, 1, 6)              // cheap, capacity 6
 	nw.AddArc(0, 1, 5, flow.Unbounded) // expensive fallback
-	sol, err := nw.SolveSimplex()
+	sol, err := nw.SolveSimplexCtx(context.Background())
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -17,8 +18,8 @@ func addArc(t *testing.T, nw *Network, from, to int, cost, cap int64) int {
 // solveBoth runs both solvers and checks they agree on the optimal cost.
 func solveBoth(t *testing.T, nw *Network) (*Solution, *Solution) {
 	t.Helper()
-	sim, errSim := nw.SolveSimplex()
-	ssp, errSSP := nw.SolveSSP()
+	sim, errSim := nw.SolveSimplexCtx(context.Background())
+	ssp, errSSP := nw.SolveSSPCtx(context.Background())
 	if (errSim == nil) != (errSSP == nil) {
 		t.Fatalf("solver disagreement: simplex err=%v, ssp err=%v", errSim, errSSP)
 	}
@@ -85,10 +86,10 @@ func TestInfeasibleDetected(t *testing.T) {
 	nw.SetDemand(0, -5)
 	nw.SetDemand(2, 5)
 	addArc(t, nw, 0, 1, 1, Unbounded) // node 2 unreachable
-	if _, err := nw.SolveSimplex(); err == nil {
+	if _, err := nw.SolveSimplexCtx(context.Background()); err == nil {
 		t.Error("simplex accepted an infeasible network")
 	}
-	if _, err := nw.SolveSSP(); err == nil {
+	if _, err := nw.SolveSSPCtx(context.Background()); err == nil {
 		t.Error("ssp accepted an infeasible network")
 	}
 }
@@ -96,7 +97,7 @@ func TestInfeasibleDetected(t *testing.T) {
 func TestUnbalancedRejected(t *testing.T) {
 	nw := NewNetwork(2)
 	nw.SetDemand(0, 3)
-	if _, err := nw.SolveSimplex(); err == nil {
+	if _, err := nw.SolveSimplexCtx(context.Background()); err == nil {
 		t.Error("unbalanced demands accepted")
 	}
 }
@@ -219,7 +220,7 @@ func TestDiffLPSmallKnown(t *testing.T) {
 	l.Constrain(1, 0, 2)
 	l.Bound(0, -2, 2)
 	l.Bound(1, -2, 2)
-	res, err := l.Solve(MethodSimplex)
+	res, err := l.SolveCtx(context.Background(), MethodSimplex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,10 +237,10 @@ func TestDiffLPInfeasible(t *testing.T) {
 	l.Constrain(0, 1, -5) // r0 <= r1 - 5 conflicts with bounds ±1
 	l.Bound(0, -1, 1)
 	l.Bound(1, -1, 1)
-	if _, err := l.Solve(MethodSimplex); err == nil {
+	if _, err := l.SolveCtx(context.Background(), MethodSimplex); err == nil {
 		t.Error("infeasible LP accepted by simplex path")
 	}
-	if _, err := l.Solve(MethodSSP); err == nil {
+	if _, err := l.SolveCtx(context.Background(), MethodSSP); err == nil {
 		t.Error("infeasible LP accepted by ssp path")
 	}
 }
@@ -267,7 +268,7 @@ func TestDiffLPRandomAgainstBruteForce(t *testing.T) {
 		}
 		want, feasible := bruteForceDiffLP(l, lo, hi)
 		for _, m := range []Method{MethodSimplex, MethodSSP} {
-			res, err := l.Solve(m)
+			res, err := l.SolveCtx(context.Background(), m)
 			if !feasible {
 				if err == nil {
 					t.Fatalf("trial %d (%v): infeasible LP solved to %d", trial, m, res.Objective)

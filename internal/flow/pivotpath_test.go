@@ -219,7 +219,7 @@ func TestSimplexPivotPathPinned(t *testing.T) {
 			if got != r.want {
 				t.Errorf("pivot path moved: got %v, want %v", got, r.want)
 			}
-			ssp, err := nw.SolveSSP()
+			ssp, err := nw.SolveSSPCtx(context.Background())
 			if err != nil {
 				t.Fatalf("ssp: %v", err)
 			}

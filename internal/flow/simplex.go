@@ -17,7 +17,7 @@ const (
 	atUpper
 )
 
-// SolveSimplex computes a min-cost flow with the primal network simplex
+// SolveSimplexCtx computes a min-cost flow with the primal network simplex
 // method (the paper's solver, Section IV-D). A big-M artificial star
 // forms the initial spanning-tree basis. Entering arcs are chosen by
 // block search over reduced costs, falling back to Bland's rule under
@@ -40,13 +40,9 @@ const (
 // head of the push (v below) goes first, and the entering arc wins ties
 // against tree arcs. This rule fixes the pivot path, and with it which
 // optimum is returned among ties.
-func (nw *Network) SolveSimplex() (*Solution, error) {
-	return nw.SolveSimplexCtx(context.Background())
-}
-
-// SolveSimplexCtx is SolveSimplex under a context: cancellation and
-// deadline expiry are observed between pivots and surface as errors
-// wrapping ctx.Err().
+//
+// Cancellation and deadline expiry are observed between pivots and
+// surface as errors wrapping ctx.Err().
 func (nw *Network) SolveSimplexCtx(ctx context.Context) (sol *Solution, err error) {
 	// Counters accumulate in locals and land on the span once, in the
 	// deferred close: the pivot loop itself stays instrumentation-free.

@@ -90,7 +90,7 @@ func TestPivotLimitTriggersSSPFallback(t *testing.T) {
 	nw := randomFeasible(t, rng, 12)
 
 	// Reference answer with the default budget.
-	ref, err := nw.SolveSimplex()
+	ref, err := nw.SolveSimplexCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestCertifyRejectsTamperedSolution(t *testing.T) {
 	nw.SetDemand(1, 4)
 	addArc(t, nw, 0, 1, 1, 6)
 	addArc(t, nw, 0, 1, 5, Unbounded)
-	sol, err := nw.SolveSimplex()
+	sol, err := nw.SolveSimplexCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestSolveMethodRandomCrossCheck(t *testing.T) {
 		if !rep.Certified {
 			t.Fatalf("trial %d: uncertified result", trial)
 		}
-		ssp, err := nw.SolveSSP()
+		ssp, err := nw.SolveSSPCtx(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d: ssp: %v", trial, err)
 		}

@@ -8,18 +8,13 @@ import (
 	"relatch/internal/obs"
 )
 
-// SolveSSP computes a min-cost flow by successive shortest paths with
+// SolveSSPCtx computes a min-cost flow by successive shortest paths with
 // Dijkstra over reduced costs. Negative-cost arcs are handled by the
 // classical saturation transformation: each is filled to capacity up
 // front (adjusting node imbalances), after which every residual cost is
-// non-negative and pure Dijkstra augmentation is exact.
-func (nw *Network) SolveSSP() (*Solution, error) {
-	return nw.SolveSSPCtx(context.Background())
-}
-
-// SolveSSPCtx is SolveSSP under a context: cancellation and deadline
-// expiry are observed between augmentation rounds and surface as errors
-// wrapping ctx.Err().
+// non-negative and pure Dijkstra augmentation is exact. Cancellation
+// and deadline expiry are observed between augmentation rounds and
+// surface as errors wrapping ctx.Err().
 func (nw *Network) SolveSSPCtx(ctx context.Context) (sol *Solution, err error) {
 	// Counters accumulate in locals and land on the span once, in the
 	// deferred close: the augmentation loop stays instrumentation-free.

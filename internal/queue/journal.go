@@ -29,8 +29,13 @@ import (
 // Rotation doubles as compaction: when the active segment outgrows
 // MaxSegmentBytes, a new segment is started with one "snap" record per
 // retained job (the full job state), and every older segment is
-// deleted. A crash between writing the new segment and deleting the old
-// ones is safe because snap records replay as upserts.
+// deleted. The snapshot is written with one Write and one fsync before
+// any old segment is removed; a crash after the fsync but before the
+// deletions is safe because snap records replay as upserts. The budget is never less than
+// twice the last snapshot, so once the retained jobs alone outgrow
+// MaxSegmentBytes the journal still appends at least as many bytes as
+// it rewrites between compactions, instead of compacting on every
+// append.
 
 const (
 	segPrefix = "wal-"
@@ -69,12 +74,13 @@ type record struct {
 
 // journal owns the active segment file of a queue directory.
 type journal struct {
-	dir     string
-	maxSeg  int64
-	f       *os.File
-	segIdx  int
-	size    int64
-	lastSeq uint64
+	dir       string
+	maxSeg    int64
+	f         *os.File
+	segIdx    int
+	size      int64
+	snapBytes int64 // bytes the last compaction's snapshot wrote
+	lastSeq   uint64
 }
 
 // Segments lists the journal segment files of a queue directory in
@@ -206,17 +212,24 @@ func readSegment(path string, tolerant bool) (recs []record, goodLen int64, err 
 	return recs, int64(off), nil
 }
 
+// appendFrame encodes r and appends its frame to buf.
+func appendFrame(buf []byte, r record) ([]byte, error) {
+	payload, err := json.Marshal(r)
+	if err != nil {
+		return nil, fmt.Errorf("queue: encoding journal record: %w", err)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	return append(buf, payload...), nil
+}
+
 // append frames, writes and fsyncs one record. The caller holds the
 // queue lock and has already assigned r.Seq.
 func (j *journal) append(r record) error {
-	payload, err := json.Marshal(r)
+	frame, err := appendFrame(nil, r)
 	if err != nil {
-		return fmt.Errorf("queue: encoding journal record: %w", err)
+		return err
 	}
-	frame := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeader:], payload)
 	if _, err := j.f.Write(frame); err != nil {
 		return fmt.Errorf("queue: journal append: %w", err)
 	}
@@ -228,29 +241,38 @@ func (j *journal) append(r record) error {
 }
 
 // shouldCompact reports whether the active segment has outgrown its
-// budget.
+// budget: MaxSegmentBytes, or twice the last snapshot if that is more.
 func (j *journal) shouldCompact() bool {
-	return j.maxSeg > 0 && j.size > j.maxSeg
+	return j.maxSeg > 0 && j.size > max(j.maxSeg, 2*j.snapBytes)
 }
 
 // compact rotates to a fresh segment seeded with the given snapshot
-// records, then deletes every older segment.
-//
-//relint:ignore journalfirst -- segment rotation, not a replayed state transition: the handle/index/size swap selects the new segment the snapshot appends then write to, and a failed append still poisons the queue via the appendLocked caller
+// records, written with one Write and one fsync, then deletes every
+// older segment.
 func (j *journal) compact(snaps []record) error {
-	newIdx := j.segIdx + 1
-	f, err := os.OpenFile(segPath(j.dir, newIdx), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("queue: compaction segment: %w", err)
-	}
-	old := j.f
-	oldIdx := j.segIdx
-	j.f, j.segIdx, j.size = f, newIdx, 0
+	var buf []byte
 	for _, r := range snaps {
-		if err := j.append(r); err != nil {
+		var err error
+		if buf, err = appendFrame(buf, r); err != nil {
 			return err
 		}
 	}
+	newIdx := j.segIdx + 1
+	f, err := os.OpenFile(segPath(j.dir, newIdx), os.O_CREATE|os.O_WRONLY|os.O_TRUNC|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("queue: compaction segment: %w", err)
+	}
+	if _, err := f.Write(buf); err != nil {
+		f.Close()
+		return fmt.Errorf("queue: compaction write: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("queue: compaction sync: %w", err)
+	}
+	old := j.f
+	oldIdx := j.segIdx
+	j.f, j.segIdx, j.size, j.snapBytes = f, newIdx, int64(len(buf)), int64(len(buf))
 	old.Close()
 	for idx := oldIdx; idx >= 1; idx-- {
 		path := segPath(j.dir, idx)

@@ -363,6 +363,48 @@ func TestCompactionRotatesAndSurvivesReopen(t *testing.T) {
 	}
 }
 
+// Once the retained jobs alone outgrow MaxSegmentBytes, compaction must
+// not rerun on every append: the budget grows to twice the last
+// snapshot, so K small appends after the fill rotate the segment at
+// most once.
+func TestCompactionBudgetCoversRetainedSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	q := openTest(t, Config{Dir: dir, MaxSegmentBytes: 1024})
+	payload := make([]byte, 512)
+	const jobs, k = 30, 20
+	for i := 0; i < jobs; i++ {
+		if _, err := q.Enqueue(fmt.Sprintf("key-%02d", i), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lastSeg := func() int {
+		segs, err := Segments(dir)
+		if err != nil || len(segs) == 0 {
+			t.Fatalf("segments: %v %v", segs, err)
+		}
+		return segIndex(segs[len(segs)-1])
+	}
+	before := lastSeg()
+	if before < 2 {
+		t.Fatalf("fill never compacted (segment %d): retained payloads did not pass the budget", before)
+	}
+	for i := 0; i < k; i++ {
+		if _, ok, err := q.Lease(); !ok || err != nil {
+			t.Fatalf("lease %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	if after := lastSeg(); after-before > 1 {
+		t.Fatalf("%d appends advanced the segment index %d → %d: compaction reruns on every append", k, before, after)
+	}
+	q.Close()
+
+	q2 := openTest(t, Config{Dir: dir, MaxSegmentBytes: 1024})
+	st := q2.Stats()
+	if st.Depth != jobs {
+		t.Fatalf("after reopen: %+v, want %d live jobs", st, jobs)
+	}
+}
+
 func TestSecondOpenSameProcessRefused(t *testing.T) {
 	dir := t.TempDir()
 	q := openTest(t, Config{Dir: dir})

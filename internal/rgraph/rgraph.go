@@ -640,11 +640,6 @@ func (g *Graph) PreflightLP() error {
 	return nil
 }
 
-// Solve is SolveCtx under context.Background().
-func (g *Graph) Solve(method flow.Method) (*Solution, error) {
-	return g.SolveCtx(context.Background(), method)
-}
-
 // SolveCtx runs the LP through the selected flow method and lifts the
 // duals back to a slave-latch placement. The context bounds the solve;
 // cancellation surfaces as an error wrapping ctx.Err().

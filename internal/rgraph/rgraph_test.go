@@ -1,6 +1,7 @@
 package rgraph
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -89,7 +90,7 @@ func TestFig4Classification(t *testing.T) {
 func TestFig4GRARSolve(t *testing.T) {
 	c, g := fig4Graph(t, true)
 	for _, m := range []flow.Method{flow.MethodSimplex, flow.MethodSSP} {
-		sol, err := g.Solve(m)
+		sol, err := g.SolveCtx(context.Background(), m)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -119,7 +120,7 @@ func TestFig4GRARSolve(t *testing.T) {
 
 func TestFig4BaseSolve(t *testing.T) {
 	_, g := fig4Graph(t, false)
-	sol, err := g.Solve(flow.MethodSimplex)
+	sol, err := g.SolveCtx(context.Background(), flow.MethodSimplex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +137,12 @@ func TestFig4ObjectiveGap(t *testing.T) {
 	// G-RAR's model objective must beat base's by 1 latch unit:
 	// Cut2 = 3 slaves + 0·c vs Cut1 = 2 slaves + 1·c with c = 2.
 	_, gA := fig4Graph(t, true)
-	solA, err := gA.Solve(flow.MethodSimplex)
+	solA, err := gA.SolveCtx(context.Background(), flow.MethodSimplex)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, gB := fig4Graph(t, false)
-	solB, err := gB.Solve(flow.MethodSimplex)
+	solB, err := gB.SolveCtx(context.Background(), flow.MethodSimplex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestInfeasibleStageRejected(t *testing.T) {
 	if err != nil {
 		return // rejected at region construction: also acceptable
 	}
-	if _, err := g.Solve(flow.MethodSimplex); err == nil {
+	if _, err := g.SolveCtx(context.Background(), flow.MethodSimplex); err == nil {
 		t.Fatal("expected an infeasibility error: no legal latch position exists")
 	}
 }
@@ -269,11 +270,11 @@ func TestRandomCloudsSolvable(t *testing.T) {
 		if err != nil {
 			continue // rare tight stage; skip
 		}
-		simplex, err := g.Solve(flow.MethodSimplex)
+		simplex, err := g.SolveCtx(context.Background(), flow.MethodSimplex)
 		if err != nil {
 			t.Fatalf("trial %d simplex: %v", trial, err)
 		}
-		ssp, err := g.Solve(flow.MethodSSP)
+		ssp, err := g.SolveCtx(context.Background(), flow.MethodSSP)
 		if err != nil {
 			t.Fatalf("trial %d ssp: %v", trial, err)
 		}

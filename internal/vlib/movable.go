@@ -24,20 +24,15 @@ type MovableResult struct {
 	Tried int
 }
 
-// RetimeMovableMaster runs fixed-master RVL-RAR on the design's cut and
+// RetimeMovableMasterCtx runs fixed-master RVL-RAR on the design's cut and
 // then re-runs it after a hill climb over legal master (flip-flop)
 // moves: a forward move collapses the registers feeding a gate into one
 // at its output, a backward move splits a gate's output register onto
 // its inputs. Moves are accepted when they shrink the estimated
 // sequential cost (2 latches per flop plus c per near-critical endpoint)
-// without breaking the stage budget. maxTrials bounds the search.
-func RetimeMovableMaster(sc *netlist.SeqCircuit, scheme clocking.Scheme, opt Options, maxTrials int) (*MovableResult, error) {
-	return RetimeMovableMasterCtx(context.Background(), sc, scheme, opt, maxTrials)
-}
-
-// RetimeMovableMasterCtx is RetimeMovableMaster under a context: the hill
-// climb checks for cancellation between trials, and both RVL-RAR runs
-// observe it through their flow solves.
+// without breaking the stage budget. maxTrials bounds the search. The
+// hill climb checks for cancellation between trials, and both RVL-RAR
+// runs observe it through their flow solves.
 func RetimeMovableMasterCtx(ctx context.Context, sc *netlist.SeqCircuit, scheme clocking.Scheme, opt Options, maxTrials int) (*MovableResult, error) {
 	if maxTrials <= 0 {
 		maxTrials = 64

@@ -1,6 +1,7 @@
 package vlib
 
 import (
+	"context"
 	"testing"
 
 	"relatch/internal/bench"
@@ -50,7 +51,7 @@ func nm(p string, i int) string { return p + string(rune('0'+i)) }
 
 func TestForwardMoveRebalancesStages(t *testing.T) {
 	sc, scheme := shiftable(t)
-	res, err := RetimeMovableMaster(sc, scheme, Options{Scheme: scheme, EDLCost: 2, PostSwap: true}, 16)
+	res, err := RetimeMovableMasterCtx(context.Background(), sc, scheme, Options{Scheme: scheme, EDLCost: 2, PostSwap: true}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestMovableOnProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	scheme := bench.SchemeFor(cut, sta.DefaultOptions(lib))
-	res, err := RetimeMovableMaster(sc, scheme, Options{Scheme: scheme, EDLCost: 1, PostSwap: true}, 12)
+	res, err := RetimeMovableMasterCtx(context.Background(), sc, scheme, Options{Scheme: scheme, EDLCost: 1, PostSwap: true}, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
